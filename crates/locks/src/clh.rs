@@ -165,13 +165,16 @@ impl RawLock for ClhLock {
             (*node).locked.store(true, Ordering::Relaxed);
         }
         let pred = self.state.tail.swap(node, Ordering::AcqRel);
+        // Poll the predecessor's flag at a fixed rate: only its release
+        // clears it and we are its only watcher, so there is no contention
+        // for a backoff to damp.
         // SAFETY: `pred` stays allocated for the process lifetime (pool /
         // spill discipline) and only we spin on it; it is recycled only by us
         // at unlock time.
         unsafe {
             let mut wait = SpinWait::new();
             while (*pred).locked.load(Ordering::Acquire) {
-                wait.spin();
+                wait.poll();
             }
         }
         self.state.owner_node.store(node, Ordering::Relaxed);
@@ -240,7 +243,7 @@ impl RawTryLock for ClhLock {
                 unsafe {
                     let mut wait = SpinWait::new();
                     while (*pred).locked.load(Ordering::Acquire) {
-                        wait.spin();
+                        wait.poll();
                     }
                 }
                 self.state.owner_node.store(node, Ordering::Relaxed);

@@ -186,9 +186,12 @@ impl RawLock for McsLock {
             // handed the lock over, and node memory is never deallocated.
             unsafe {
                 (*prev).next.store(node, Ordering::Release);
+                // Poll our own node's flag at a fixed rate: only our
+                // predecessor's handoff store clears it, and no other waiter
+                // touches this line, so backing off would only delay us.
                 let mut wait = SpinWait::new();
                 while (*node).locked.load(Ordering::Acquire) {
-                    wait.spin();
+                    wait.poll();
                 }
             }
         }
@@ -221,14 +224,15 @@ impl RawLock for McsLock {
                     self.state.queued.fetch_sub(1, Ordering::Relaxed);
                     return;
                 }
-                // A successor is in the middle of linking itself; wait for it.
+                // A successor is in the middle of linking itself; poll for
+                // its link, which is one store away.
                 let mut wait = SpinWait::new();
                 loop {
                     next = (*node).next.load(Ordering::Acquire);
                     if !next.is_null() {
                         break;
                     }
-                    wait.spin();
+                    wait.poll();
                 }
             }
             (*next).locked.store(false, Ordering::Release);

@@ -60,11 +60,14 @@ impl RawLock for TicketLock {
     #[inline]
     fn lock(&self) {
         let my_ticket = self.state.ticket.fetch_add(1, Ordering::Relaxed);
-        // Spin until it is our turn. Acquire on the load that observes our
+        // Poll until it is our turn. Only the holder's release moves
+        // `owner`, and every waiter is served in ticket order, so there is no
+        // stampede to back off from: re-check after every pause to see the
+        // handoff as soon as it lands. Acquire on the load that observes our
         // ticket so the critical section cannot float above it.
         let mut wait = SpinWait::new();
         while self.state.owner.load(Ordering::Acquire) != my_ticket {
-            wait.spin();
+            wait.poll();
         }
     }
 

@@ -5,6 +5,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gls_locks::park::DEFAULT_PARK_TOKEN;
 use gls_locks::{FutexLock, ParkingLot, QueueInformed, RawLock};
@@ -40,6 +41,18 @@ fn four_thousand_contended_locks_grow_the_table() {
         })
         .collect();
     while parked.load(Ordering::Relaxed) < LOCKS {
+        std::thread::yield_now();
+    }
+    // `parked` is bumped inside `validate`, before the waiter is enqueued:
+    // also wait for every waiter to reach its bucket queue.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while lot.total_parked() < LOCKS {
+        assert!(
+            Instant::now() < deadline,
+            "waiters never all enqueued: {} validated, {} parked",
+            parked.load(Ordering::Relaxed),
+            lot.total_parked()
+        );
         std::thread::yield_now();
     }
     assert_eq!(lot.total_parked(), LOCKS);
