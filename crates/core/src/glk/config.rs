@@ -167,8 +167,17 @@ impl DensityHandle {
 #[derive(Debug, Clone)]
 pub struct GlkConfig {
     /// Attempt adaptation every this many completed critical sections.
+    ///
+    /// A power of two (the boundary test is a mask, not a division), or
+    /// `u64::MAX` to disable adaptation ([`without_adaptation`]). GLK locks
+    /// panic at construction otherwise.
+    ///
+    /// [`without_adaptation`]: Self::without_adaptation
     pub adaptation_period: u64,
     /// Sample the queue length every this many completed critical sections.
+    ///
+    /// A power of two, like [`adaptation_period`](Self::adaptation_period);
+    /// ignored while adaptation is disabled.
     pub sampling_period: u64,
     /// Switch ticket → mcs when the smoothed queue exceeds this value.
     pub ticket_to_mcs_queue: f64,
@@ -238,9 +247,12 @@ impl GlkConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero.
+    /// Panics if `period` is not a power of two (zero included).
     pub fn with_adaptation_period(mut self, period: u64) -> Self {
-        assert!(period > 0, "adaptation period must be positive");
+        assert!(
+            period.is_power_of_two(),
+            "adaptation period must be a power of two, got {period}"
+        );
         self.adaptation_period = period;
         self
     }
@@ -249,9 +261,12 @@ impl GlkConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero.
+    /// Panics if `period` is not a power of two (zero included).
     pub fn with_sampling_period(mut self, period: u64) -> Self {
-        assert!(period > 0, "sampling period must be positive");
+        assert!(
+            period.is_power_of_two(),
+            "sampling period must be a power of two, got {period}"
+        );
         self.sampling_period = period;
         self
     }
@@ -328,6 +343,36 @@ impl GlkConfig {
     /// Whether adaptation is effectively disabled.
     pub fn adaptation_disabled(&self) -> bool {
         self.adaptation_period == u64::MAX
+    }
+
+    /// Panics unless both periods are powers of two or adaptation is
+    /// disabled. The fields are public, so GLK locks re-check at
+    /// construction what the builders check.
+    pub(crate) fn assert_periods(&self) {
+        assert!(
+            self.adaptation_disabled()
+                || (self.adaptation_period.is_power_of_two()
+                    && self.sampling_period.is_power_of_two()),
+            "GLK periods must be powers of two (adaptation_period {}, sampling_period {})",
+            self.adaptation_period,
+            self.sampling_period
+        );
+    }
+
+    /// Whether the `n`-th acquisition samples the queue. Adaptation must be
+    /// enabled (callers return early on [`adaptation_disabled`]).
+    ///
+    /// [`adaptation_disabled`]: Self::adaptation_disabled
+    #[inline]
+    pub(crate) fn samples_at(&self, n: u64) -> bool {
+        n & (self.sampling_period - 1) == 0
+    }
+
+    /// Whether the `n`-th acquisition ends an adaptation window. Adaptation
+    /// must be enabled, as for [`samples_at`](Self::samples_at).
+    #[inline]
+    pub(crate) fn adapts_at(&self, n: u64) -> bool {
+        n & (self.adaptation_period - 1) == 0
     }
 }
 
@@ -437,6 +482,30 @@ mod tests {
     #[should_panic(expected = "adaptation period")]
     fn zero_adaptation_period_rejected() {
         let _ = GlkConfig::default().with_adaptation_period(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptation period must be a power of two")]
+    fn non_power_of_two_adaptation_period_rejected() {
+        let _ = GlkConfig::default().with_adaptation_period(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling period must be a power of two")]
+    fn non_power_of_two_sampling_period_rejected() {
+        let _ = GlkConfig::default().with_sampling_period(24);
+    }
+
+    #[test]
+    fn period_masks_match_division() {
+        let c = GlkConfig::default()
+            .with_adaptation_period(64)
+            .with_sampling_period(1);
+        c.assert_periods();
+        for n in 1..=1024u64 {
+            assert_eq!(c.adapts_at(n), n % 64 == 0, "n = {n}");
+            assert!(c.samples_at(n), "period 1 samples every acquisition");
+        }
     }
 
     #[test]

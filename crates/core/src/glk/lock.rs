@@ -529,7 +529,13 @@ impl GlkLock {
     /// Creates a GLK lock with a custom configuration and system-load
     /// monitor (used by tests and by the benchmark harness, which need
     /// deterministic multiprogramming signals).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config`'s periods are not powers of two (see
+    /// [`GlkConfig::adaptation_period`]).
     pub fn with_config_and_monitor(config: GlkConfig, monitor: MonitorHandle) -> Self {
+        config.assert_periods();
         let starts_blocking = config.initial_mode == GlkMode::Mutex;
         if starts_blocking {
             config.density.density().enter();
@@ -726,11 +732,19 @@ impl GlkLock {
     /// just acquired low-level lock `current`. Returns `true` if the mode was
     /// changed (in which case the caller must release and retry).
     fn try_adapt(&self, current: GlkMode) -> bool {
+        // The counter has one writer at a time, so a plain load and store
+        // count exactly. Only a thread that passed the post-acquire mode
+        // recheck gets here, and it holds the low-level lock of `current`,
+        // the mode every other thread must also acquire to pass the
+        // recheck. Its predecessor either released that same lock (a
+        // release/acquire edge), or held the old mode's lock and published
+        // `current` with a Release store before releasing it, which this
+        // thread's Acquire recheck read. Either way the predecessor's
+        // store happens before this load.
+        let acquisitions = self.stats.record_holder_acquisition();
         if self.config.adaptation_disabled() {
-            self.stats.record_acquisition();
             return false;
         }
-        let acquisitions = self.stats.record_acquisition();
 
         // Periodic queue sampling (paper: every 128 critical sections).
         // The sample sums all three low-level queues, not just the current
@@ -739,12 +753,12 @@ impl GlkLock {
         // would undercount contention during that migration — the EMA would
         // collapse and bounce the mode straight back (most visible when
         // context switches are slow relative to the adaptation period).
-        if acquisitions.is_multiple_of(self.config.sampling_period) {
+        if self.config.samples_at(acquisitions) {
             self.stats.record_queue_sample(self.queue_length());
         }
 
         // Periodic adaptation (paper: every 4096 critical sections).
-        if !acquisitions.is_multiple_of(self.config.adaptation_period) {
+        if !self.config.adapts_at(acquisitions) {
             return false;
         }
 
@@ -757,7 +771,7 @@ impl GlkLock {
             previous
         } else {
             let alpha = self.config.ema_alpha;
-            if self.stats.acquisitions() <= self.config.adaptation_period {
+            if acquisitions <= self.config.adaptation_period {
                 window_avg
             } else {
                 alpha * window_avg + (1.0 - alpha) * previous
@@ -888,6 +902,90 @@ mod tests {
             GlkMode::Ticket,
             "uncontended lock must stay ticket"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_period_rejected_at_construction() {
+        let mut config = fast_config();
+        config.sampling_period = 12;
+        let _ = GlkLock::with_config(config);
+    }
+
+    #[test]
+    fn disabled_adaptation_still_counts_every_acquisition() {
+        let lock = GlkLock::with_config(GlkConfig::default().without_adaptation());
+        for _ in 0..100 {
+            lock.lock();
+            lock.unlock();
+            assert!(lock.try_lock());
+            lock.unlock();
+        }
+        assert_eq!(lock.acquisitions(), 200);
+    }
+
+    /// The acquisition counter is a plain load and store by the holder, so
+    /// it stays exact only if no two threads ever count at once. Contended
+    /// rounds run until the lock flips to mcs and solo rounds pull it back
+    /// to ticket, so threads queue in one mode while the holder flips to
+    /// the other. Every flip counts one acquisition that is then released
+    /// and retried; every other counted acquisition is a returned `lock()`.
+    #[test]
+    fn plain_store_counter_is_exact_across_mode_flips() {
+        const THREADS: usize = 4;
+        const SOLO: u64 = 4_096;
+        const ROUNDS: usize = 3;
+        // A holder alone samples a queue of exactly 1, so any waiter seen
+        // lifts the average past 1.01 (-> mcs), and solo windows pull the
+        // EMA back under it (-> ticket).
+        let lock = Arc::new(GlkLock::with_config_and_monitor(
+            fast_config().with_queue_thresholds(1.01, 1.01),
+            MonitorHandle::Custom(manual_monitor()),
+        ));
+        let mut returned = 0u64;
+        for _ in 0..ROUNDS {
+            let stop = Arc::new(AtomicBool::new(false));
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let lock = Arc::clone(&lock);
+                    let stop = Arc::clone(&stop);
+                    std::thread::spawn(move || {
+                        let mut sections = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            lock.lock();
+                            gls_runtime::spin_cycles(200);
+                            lock.unlock();
+                            sections += 1;
+                        }
+                        sections
+                    })
+                })
+                .collect();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while lock.mode() != GlkMode::Mcs && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            stop.store(true, Ordering::Relaxed);
+            for h in handles {
+                returned += h.join().unwrap();
+            }
+            for _ in 0..SOLO {
+                lock.lock();
+                lock.unlock();
+            }
+            returned += SOLO;
+            assert_eq!(lock.mode(), GlkMode::Ticket, "solo windows end in ticket");
+        }
+        let log = lock.transitions();
+        assert!(
+            log.iter()
+                .filter(|t| t.from == GlkMode::Ticket && t.to == GlkMode::Mcs)
+                .count()
+                >= ROUNDS,
+            "every contended round must flip ticket->mcs: {log:?}"
+        );
+        assert_eq!(lock.stats().transitions(), log.len() as u64);
+        assert_eq!(lock.acquisitions(), returned + lock.stats().transitions());
     }
 
     #[test]

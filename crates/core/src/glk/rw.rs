@@ -409,7 +409,13 @@ impl GlkRwLock {
 
     /// Creates a GLK-RW lock with a custom configuration and system-load
     /// monitor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config`'s periods are not powers of two (see
+    /// [`GlkConfig::adaptation_period`]).
     pub fn with_config_and_monitor(config: GlkConfig, monitor: MonitorHandle) -> Self {
+        config.assert_periods();
         Self {
             mode: AtomicU8::new(GlkRwMode::Spin.as_raw()),
             spin: RwTtasRaw::new(),
@@ -580,15 +586,20 @@ impl GlkRwLock {
     }
 
     /// Statistics bookkeeping done by every successful shared acquisition.
+    ///
+    /// Readers hold the lock together, so the counter has many writers at
+    /// once: it stays a locked read-modify-write
+    /// ([`LockStats::record_acquisition`]), unlike `GlkLock`'s holder-only
+    /// store, or concurrent reads would lose counts.
     fn note_read_acquisition(&self) {
         let acquisitions = self.stats.record_acquisition();
         if self.config.adaptation_disabled() {
             return;
         }
-        if acquisitions.is_multiple_of(self.config.sampling_period) {
+        if self.config.samples_at(acquisitions) {
             self.stats.record_queue_sample(self.queue_length());
         }
-        if acquisitions.is_multiple_of(self.config.adaptation_period) {
+        if self.config.adapts_at(acquisitions) {
             self.adapt_pending.store(true, Ordering::Relaxed);
         }
     }
@@ -651,16 +662,18 @@ impl GlkRwLock {
     /// every reader and writer of that mode). Returns `true` if the mode was
     /// changed, in which case the caller must release and retry.
     fn try_adapt(&self, current: GlkRwMode) -> bool {
+        // Readers share this counter (see `note_read_acquisition`), so the
+        // write path counts with the same read-modify-write.
         if self.config.adaptation_disabled() {
             self.stats.record_acquisition();
             return false;
         }
         let acquisitions = self.stats.record_acquisition();
 
-        if acquisitions.is_multiple_of(self.config.sampling_period) {
+        if self.config.samples_at(acquisitions) {
             self.stats.record_queue_sample(self.queue_length());
         }
-        if !acquisitions.is_multiple_of(self.config.adaptation_period) {
+        if !self.config.adapts_at(acquisitions) {
             return false;
         }
         self.adapt_exclusive(current)
@@ -768,6 +781,14 @@ mod tests {
         }
         assert_eq!(lock.acquisitions(), 100);
         assert_eq!(lock.mode(), GlkRwMode::Spin);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_period_rejected_at_construction() {
+        let mut config = fast_config();
+        config.adaptation_period = 100;
+        let _ = GlkRwLock::with_config(config);
     }
 
     #[test]

@@ -1269,6 +1269,8 @@ impl GlsService {
         } else {
             entry.set_owner(me);
         }
+        // Shared holders of an rw entry count here at the same time, so
+        // this stays a read-modify-write, not the holder-only store.
         entry.stats.record_acquisition();
         Ok(())
     }

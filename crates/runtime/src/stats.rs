@@ -8,11 +8,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-local statistics, updated by lock holders and read by the adaptation
-/// logic and the profiler.
+/// Lock-local statistics, updated on the acquisition path and read by the
+/// adaptation logic and the profiler.
 ///
 /// All fields are plain atomics with relaxed ordering: the values feed
 /// heuristics, not correctness-critical decisions, exactly as in the paper.
+/// The recording methods are read-modify-writes, safe from any number of
+/// threads at once, except [`record_holder_acquisition`], which is a plain
+/// load and store for callers that are the counter's only writer.
+///
+/// [`record_holder_acquisition`]: Self::record_holder_acquisition
 #[derive(Debug, Default)]
 pub struct LockStats {
     /// Number of completed critical sections (paper: `num_acquired`).
@@ -40,9 +45,31 @@ impl LockStats {
     }
 
     /// Records one completed acquisition and returns the *new* total.
+    ///
+    /// A locked read-modify-write: exact even when acquisitions overlap, as
+    /// shared (reader) holders do.
     #[inline]
     pub fn record_acquisition(&self) -> u64 {
         self.acquisitions.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Records one completed acquisition on behalf of the counter's only
+    /// writer and returns the *new* total: a Relaxed load and a Relaxed
+    /// store, the paper's plain `num_acquired++`, with no locked
+    /// read-modify-write.
+    ///
+    /// Exact only while calls are serialized by happens-before, so that
+    /// each call's load sees the previous call's store. An exclusive lock
+    /// does that for its holders: the release that ends one critical
+    /// section synchronizes with the acquire that starts the next.
+    /// Overlapping calls lose counts; nothing else breaks. Locks whose
+    /// holders overlap (readers of an rwlock) must use
+    /// [`record_acquisition`](Self::record_acquisition).
+    #[inline]
+    pub fn record_holder_acquisition(&self) -> u64 {
+        let next = self.acquisitions.load(Ordering::Relaxed) + 1;
+        self.acquisitions.store(next, Ordering::Relaxed);
+        next
     }
 
     /// Total completed acquisitions.
@@ -175,6 +202,15 @@ mod tests {
         assert_eq!(s.record_acquisition(), 1);
         assert_eq!(s.record_acquisition(), 2);
         assert_eq!(s.acquisitions(), 2);
+    }
+
+    #[test]
+    fn holder_acquisitions_continue_the_shared_count() {
+        let s = LockStats::new();
+        assert_eq!(s.record_holder_acquisition(), 1);
+        assert_eq!(s.record_acquisition(), 2);
+        assert_eq!(s.record_holder_acquisition(), 3);
+        assert_eq!(s.acquisitions(), 3);
     }
 
     #[test]
