@@ -14,6 +14,21 @@
 //! (GLS stores the address of a lock object as the value). Updates take a
 //! per-bucket spinlock; lookups never write shared memory.
 //!
+//! # Bucket index
+//!
+//! A key is hashed by a Fibonacci multiply (`key * 0x9E37_79B9_7F4A_7C15`)
+//! and a table of `2^b` buckets takes the bucket index from the product's
+//! **top** `b` bits. The low bits of `key * odd` depend only on the key's
+//! low bits, and GLS keys are addresses of aligned objects: a low-bit mask
+//! would put 64-byte-aligned lock addresses into 1 bucket in 64. Those
+//! buckets overflow, the chain limit forces doublings that do not spread
+//! them, and 4096 such keys would grow the table to 65 536 buckets at 2 %
+//! occupancy (4 194 304 buckets for page-aligned keys). The top bits mix
+//! in every bit of the key, so the same keys fit in 4096 buckets after the
+//! six doublings the occupancy trigger alone asks for. Doubling a table
+//! splits old bucket `j` into new buckets `2j` and `2j + 1`. The parking
+//! lot and GLS's per-thread lock cache index their tables the same way.
+//!
 //! # Example
 //!
 //! ```

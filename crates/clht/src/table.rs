@@ -31,7 +31,9 @@ fn hash(key: usize) -> usize {
 
 struct Table {
     buckets: Box<[Bucket]>,
-    mask: usize,
+    /// `usize::BITS - log2(buckets.len())`: shifting the hash right by this
+    /// keeps its top `log2(buckets.len())` bits (see [`Table::index_of`]).
+    shift: u32,
     /// Set (while holding the resize lock) before this table's contents are
     /// migrated; writers that observe it back off and retry on the new table.
     resizing: AtomicBool,
@@ -45,14 +47,22 @@ impl Table {
         let buckets: Vec<Bucket> = (0..n).map(|_| Bucket::new()).collect();
         Box::new(Table {
             buckets: buckets.into_boxed_slice(),
-            mask: n - 1,
+            shift: usize::BITS - n.trailing_zeros(),
             resizing: AtomicBool::new(false),
             elements: AtomicUsize::new(0),
         })
     }
 
+    /// The bucket index of `key`: the top `log2(buckets)` bits of its hash
+    /// (the crate docs say why not the low bits). A one-bucket table has
+    /// `shift == usize::BITS`, where `checked_shr` yields `None`: index 0.
+    #[inline]
+    fn index_of(&self, key: usize) -> usize {
+        hash(key).checked_shr(self.shift).unwrap_or(0)
+    }
+
     fn bucket_for(&self, key: usize) -> &Bucket {
-        &self.buckets[hash(key) & self.mask]
+        &self.buckets[self.index_of(key)]
     }
 
     /// Walks a bucket chain looking for `key` (wait-free).
@@ -534,6 +544,108 @@ mod tests {
         assert_eq!(t.len(), n);
         assert!(t.stats().expansions > 0, "expected at least one expansion");
         for k in 1..=n {
+            assert_eq!(t.get(k), Some(k * 10), "lost key {k}");
+        }
+    }
+
+    /// Aligned keys share their low bits. The bucket index must come from
+    /// the hash's high bits, or 64-byte-aligned keys reach 1 bucket in 64
+    /// and the table doubles far past what the element count needs.
+    #[test]
+    fn aligned_keys_spread_over_the_table() {
+        for stride in [8usize, 16, 64, 4096] {
+            let t = Clht::new();
+            let keys: Vec<usize> = (1..=4096).map(|i| i * stride).collect();
+            for &k in &keys {
+                t.put_if_absent(k, || k + 1);
+            }
+            let s = t.stats();
+            assert_eq!(s.buckets, 4096, "stride {stride}: {s:?}");
+            assert_eq!(s.expansions, 6, "stride {stride}: {s:?}");
+            for &k in &keys {
+                assert_eq!(t.get(k), Some(k + 1), "stride {stride}: lost key {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_bucket_table_indexes_zero() {
+        let table = Table::with_buckets(1);
+        for key in [1usize, 64, 4096, usize::MAX, usize::MAX / 3] {
+            assert_eq!(table.index_of(key), 0, "key {key:#x}");
+        }
+    }
+
+    #[test]
+    fn doubling_splits_bucket_j_into_2j_and_2j_plus_1() {
+        let small = Table::with_buckets(64);
+        let large = Table::with_buckets(128);
+        for key in (1..=1000usize).map(|i| i * 64) {
+            assert_eq!(large.index_of(key) / 2, small.index_of(key), "key {key}");
+        }
+    }
+
+    /// Number of buckets on `key`'s chain in the current table, primary
+    /// bucket included.
+    fn chain_len(t: &Clht, key: usize) -> usize {
+        let table = t.current();
+        let mut len = 1;
+        let mut next = table.bucket_for(key).next.load(Ordering::Acquire);
+        while !next.is_null() {
+            len += 1;
+            // SAFETY: overflow buckets live as long as the table.
+            next = unsafe { (*next).next.load(Ordering::Acquire) };
+        }
+        len
+    }
+
+    /// Drives the overflow paths deterministically: keys chosen through
+    /// the table's own index function all land in one primary bucket.
+    #[test]
+    fn colliding_keys_chain_then_force_a_resize() {
+        let t = Clht::new();
+        let target = t.current().index_of(1);
+        let keys: Vec<usize> = (1..)
+            .filter(|&k| t.current().index_of(k) == target)
+            .take(2 * ENTRIES_PER_BUCKET + 1)
+            .collect();
+        let full = ENTRIES_PER_BUCKET;
+
+        // Overflow insert: the primary bucket fills, the next key chains.
+        for &k in &keys[..=full] {
+            t.put_if_absent(k, || k * 10);
+        }
+        assert_eq!(chain_len(&t, keys[0]), 2);
+        for &k in &keys[..=full] {
+            assert_eq!(t.get(k), Some(k * 10));
+        }
+
+        // Removal from the overflow bucket.
+        assert_eq!(t.remove(keys[full]), Some(keys[full] * 10));
+        assert_eq!(t.get(keys[full]), None);
+        assert_eq!(t.len(), full);
+
+        // Re-insert into the freed slot: the chain does not grow.
+        let reused = keys[full + 1];
+        assert_eq!(t.put_if_absent(reused, || reused * 10), reused * 10);
+        assert_eq!(chain_len(&t, keys[0]), 2);
+        assert_eq!(t.get(reused), Some(reused * 10));
+
+        // Fill the overflow bucket (the removed key comes back). The last
+        // key needs a second overflow bucket, which reaches `MAX_CHAIN` and
+        // forces a resize long before the occupancy trigger.
+        let last = keys[full + 3];
+        for k in [keys[full], keys[full + 2]] {
+            t.put_if_absent(k, || k * 10);
+        }
+        assert_eq!(t.stats().expansions, 0);
+        assert_eq!(chain_len(&t, keys[0]), 2, "one full overflow bucket");
+        t.put_if_absent(last, || last * 10);
+        let s = t.stats();
+        assert_eq!(s.expansions, 1, "{s:?}");
+        assert_eq!(s.buckets, 2 * DEFAULT_BUCKETS);
+        assert_eq!(s.elements, keys.len());
+        for &k in &keys {
             assert_eq!(t.get(k), Some(k * 10), "lost key {k}");
         }
     }

@@ -868,6 +868,18 @@ impl GlkLock {
 }
 
 #[cfg(test)]
+impl GlkLock {
+    /// Byte offsets of `mode` and `ticket` within the lock (the entry
+    /// layout test pins where the fast path's lines fall).
+    pub(crate) fn mode_and_ticket_offsets() -> (usize, usize) {
+        (
+            std::mem::offset_of!(GlkLock, mode),
+            std::mem::offset_of!(GlkLock, ticket),
+        )
+    }
+}
+
+#[cfg(test)]
 // Raw std sync and wall-clock sleeps are fine in stress tests: they pace
 // real threads, not modeled ones (see clippy.toml).
 #[allow(clippy::disallowed_types, clippy::disallowed_methods)]

@@ -234,10 +234,13 @@ impl AlgorithmLock {
 
 /// A lock object plus the metadata GLS keeps about it (ownership for the
 /// debug mode, latency/queuing statistics for the profiler).
-// repr(C): the declaration order is the layout. `addr`, `epoch` and the
-// head of `lock` (discriminant + lock word) share the entry's first
-// cacheline, so a cached hit's epoch validation touches memory the
-// immediately following lock operation pulls in anyway.
+// repr(C): the declaration order is the layout. `addr`, `epoch` and
+// `acquired_at` share the entry's first cache line with nothing else:
+// `lock` is 64-byte aligned (its lock words are cache-padded), so it starts
+// at offset 64. A cached hit's epoch validation therefore reads a line of
+// its own; a GLK acquisition then reads GLK's `mode` at +480 and takes its
+// `ticket` at +128 within `lock` (rustc's field order, not the declaration
+// order). `entry_layout_matches_its_comment` pins these offsets.
 #[repr(C)]
 #[derive(Debug)]
 pub(crate) struct LockEntry {
@@ -444,6 +447,25 @@ mod tests {
 
     fn make(kind: LockKind) -> AlgorithmLock {
         AlgorithmLock::new(kind, &GlkConfig::default(), &MonitorHandle::Global)
+    }
+
+    /// Pins the layout the comment on [`LockEntry`] states. The GLK
+    /// offsets are rustc's choice: when a compiler or field change moves
+    /// them, update the comment with the test.
+    #[test]
+    fn entry_layout_matches_its_comment() {
+        use std::mem::offset_of;
+        assert_eq!(offset_of!(LockEntry, addr), 0);
+        assert_eq!(offset_of!(LockEntry, epoch), 8);
+        assert_eq!(offset_of!(LockEntry, acquired_at), 16);
+        assert_eq!(offset_of!(LockEntry, lock), 64);
+        let entry = LockEntry::new(0x40, make(LockKind::Glk));
+        let AlgorithmLock::Glk(glk) = &entry.lock else {
+            unreachable!("made a GLK entry")
+        };
+        let glk_at = glk as *const GlkLock as usize - &entry as *const LockEntry as usize;
+        assert_eq!(glk_at, 64, "the GLK lock starts the `lock` field");
+        assert_eq!(GlkLock::mode_and_ticket_offsets(), (480, 128));
     }
 
     #[test]

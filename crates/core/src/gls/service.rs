@@ -771,6 +771,7 @@ impl GlsService {
             lock_count: self.lock_count(),
             retired_count: self.retired_count(),
             locks,
+            table: self.table_stats(),
             cache: cache::aggregated_cache_stats(),
             parking_lot: gls_locks::ParkingLot::global().stats(),
             cohort: gls_locks::cohort_stats(),

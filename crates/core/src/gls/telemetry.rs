@@ -2,20 +2,22 @@
 //!
 //! A [`TelemetrySnapshot`] captures, at one moment, everything the locking
 //! middleware knows about itself: per-lock profiles with full latency
-//! *distributions* (p50/p99/p999, not just averages), lock-cache hit rates,
-//! parking-lot occupancy and growth, Auto backend migrations, cohort
-//! handoffs, GLK mode transitions and deadlock-detector activity. Snapshots
-//! are cheap (relaxed reads plus one table walk), export themselves as JSON
+//! *distributions* (p50/p99/p999, not just averages), the address → lock
+//! table's size and occupancy, lock-cache hit rates, parking-lot occupancy
+//! and growth, Auto backend migrations, cohort handoffs, GLK mode
+//! transitions and deadlock-detector activity. Snapshots are cheap
+//! (relaxed reads plus one table walk), export themselves as JSON
 //! ([`TelemetrySnapshot::to_json`]) or human text (`Display`), and can be
 //! published periodically from a background thread
 //! ([`GlsService::spawn_telemetry_publisher`]).
 //!
-//! Scope: the per-lock profiles, mode-transition totals and deadlock
-//! counters are **service-scoped** (they come from this service's entries
-//! and debug state); the lock-cache aggregate, parking-lot, cohort-handoff
-//! and backend-migration counters are **process-wide** (those subsystems
-//! are shared by every service in the process). A snapshot labels itself
-//! accordingly rather than pretending one service owns the whole process.
+//! Scope: the per-lock profiles, table statistics, mode-transition totals
+//! and deadlock counters are **service-scoped** (they come from this
+//! service's table, entries and debug state); the lock-cache aggregate,
+//! parking-lot, cohort-handoff and backend-migration counters are
+//! **process-wide** (those subsystems are shared by every service in the
+//! process). A snapshot labels itself accordingly rather than pretending
+//! one service owns the whole process.
 //!
 //! [`GlsService::spawn_telemetry_publisher`]: crate::GlsService::spawn_telemetry_publisher
 
@@ -24,6 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use gls_clht::ClhtStats;
 use gls_locks::{CohortStats, LockKind, ParkingLotStats};
 use gls_runtime::LatencyHistogram;
 
@@ -146,6 +149,11 @@ pub struct TelemetrySnapshot {
     pub retired_count: usize,
     /// Per-lock telemetry, most contended first (service-scoped).
     pub locks: Vec<LockTelemetry>,
+    /// Size, occupancy and growth count of the address → lock table
+    /// (service-scoped). A doubling at the 0.66 occupancy trigger leaves
+    /// 0.33; a grown table well below that means keys crowd a few buckets
+    /// and overflow chains, not the element count, forced the growth.
+    pub table: ClhtStats,
     /// Lock-cache counters aggregated across threads (process-wide; exited
     /// or explicitly flushed threads plus the calling thread).
     pub cache: CacheStats,
@@ -163,13 +171,14 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Serializes the snapshot as a single JSON object (schema version 1;
+    /// Serializes the snapshot as a single JSON object (schema version 2;
     /// validated in CI by `scripts/validate_snapshot_schema.py`).
     pub fn to_json(&self) -> String {
         let locks: Vec<String> = self.locks.iter().map(LockTelemetry::to_json).collect();
         format!(
-            "{{\"version\":1,\"mode\":\"{}\",\"sampling_budget\":{},\"lock_count\":{},\
+            "{{\"version\":2,\"mode\":\"{}\",\"sampling_budget\":{},\"lock_count\":{},\
              \"retired_count\":{},\"locks\":[{}],\
+             \"table\":{{\"buckets\":{},\"elements\":{},\"occupancy\":{},\"expansions\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"invalidations\":{},\"hit_rate\":{}}},\
              \"parking_lot\":{{\"buckets\":{},\"parked\":{},\"growth_events\":{},\
              \"requeued_waiters\":{}}},\
@@ -185,6 +194,10 @@ impl TelemetrySnapshot {
             self.lock_count,
             self.retired_count,
             locks.join(","),
+            self.table.buckets,
+            self.table.elements,
+            json_f64(self.table.occupancy),
+            self.table.expansions,
             self.cache.hits,
             self.cache.misses,
             self.cache.invalidations,
@@ -240,6 +253,14 @@ impl fmt::Display for TelemetrySnapshot {
             self.cache.misses,
             self.cache.hit_rate() * 100.0,
             self.cache.invalidations,
+        )?;
+        writeln!(
+            f,
+            "[GLS telemetry] table: {} buckets, {} elements ({:.1}% occupancy), {} expansions",
+            self.table.buckets,
+            self.table.elements,
+            self.table.occupancy * 100.0,
+            self.table.expansions,
         )?;
         writeln!(
             f,
@@ -380,6 +401,12 @@ mod tests {
                 cs_latency: HistogramSummary::default(),
                 transitions: 2,
             }],
+            table: ClhtStats {
+                buckets: 64,
+                elements: 1,
+                occupancy: 1.0 / 192.0,
+                expansions: 0,
+            },
             cache: CacheStats {
                 hits: 90,
                 misses: 10,
@@ -411,7 +438,9 @@ mod tests {
     fn json_has_every_section() {
         let json = sample_snapshot().to_json();
         for key in [
-            "\"version\":1",
+            "\"version\":2",
+            "\"table\":{\"buckets\":64,\"elements\":1,\"occupancy\":",
+            "\"expansions\":0}",
             "\"mode\":\"profile\"",
             "\"sampling_budget\":5000",
             "\"locks\":[{",
@@ -450,6 +479,7 @@ mod tests {
         assert!(text.contains("mode=profile"));
         assert!(text.contains("sampling=5000/s"));
         assert!(text.contains("p99"));
+        assert!(text.contains("table: 64 buckets, 1 elements (0.5% occupancy), 0 expansions"));
         assert!(text.contains("0x1000"));
     }
 }

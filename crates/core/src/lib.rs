@@ -81,6 +81,7 @@ pub use gls::{
 
 // Re-export the substrate types that appear in this crate's public API so
 // downstream users need only one dependency.
+pub use gls_clht::ClhtStats;
 pub use gls_locks::LockKind;
 
 // The deadlock detector's protocol steps, re-exposed for the model tests

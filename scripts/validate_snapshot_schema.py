@@ -4,8 +4,9 @@
 `GlsService::telemetry_snapshot().to_json()` is hand-rolled (the workspace
 builds offline, without serde), so CI parses a real emitted snapshot here
 and checks every field the exporter promises: the versioned envelope, the
-per-lock profiles with their latency histogram summaries, and the
-service-wide cache / parking-lot / cohort / migration / deadlock counters.
+per-lock profiles with their latency histogram summaries, the address ->
+lock table's size and occupancy, and the service-wide cache / parking-lot /
+cohort / migration / deadlock counters.
 A field silently dropped or renamed by a refactor fails CI instead of
 failing whoever scrapes the snapshots.
 
@@ -21,6 +22,7 @@ TOP_LEVEL = {
     "lock_count": int,
     "retired_count": int,
     "locks": list,
+    "table": dict,
     "cache": dict,
     "parking_lot": dict,
     "cohort": dict,
@@ -41,6 +43,7 @@ LOCK_FIELDS = {
     "cs_latency": dict,
     "transitions": int,
 }
+TABLE_FIELDS = {"buckets": int, "elements": int, "occupancy": (int, float), "expansions": int}
 CACHE_FIELDS = {"hits": int, "misses": int, "invalidations": int, "hit_rate": (int, float)}
 PARKING_FIELDS = {"buckets": int, "parked": int, "growth_events": int, "requeued_waiters": int}
 COHORT_FIELDS = {"handoffs": int, "head_bypasses": int}
@@ -76,7 +79,7 @@ def validate(path):
     with open(path) as f:
         doc = json.load(f)
     check_fields(doc, TOP_LEVEL, "the top level", path)
-    if doc["version"] != 1:
+    if doc["version"] != 2:
         fail(f"{path}: unknown snapshot version {doc['version']}")
     if doc["mode"] not in MODES:
         fail(f"{path}: unknown mode {doc['mode']!r}")
@@ -92,6 +95,14 @@ def validate(path):
         check_fields(lock, LOCK_FIELDS, where, path)
         check_histogram(lock["lock_latency"], f"{where}.lock_latency", path)
         check_histogram(lock["cs_latency"], f"{where}.cs_latency", path)
+    table = doc["table"]
+    check_fields(table, TABLE_FIELDS, "table", path)
+    if table["buckets"] < 1 or table["buckets"] & (table["buckets"] - 1):
+        fail(f"{path}: table.buckets {table['buckets']} is not a power of two")
+    if table["elements"] != doc["lock_count"]:
+        fail(f"{path}: table.elements {table['elements']} != lock_count {doc['lock_count']}")
+    if not 0 <= table["occupancy"] <= 1:
+        fail(f"{path}: table.occupancy outside [0, 1]")
     check_fields(doc["cache"], CACHE_FIELDS, "cache", path)
     if not 0 <= doc["cache"]["hit_rate"] <= 1:
         fail(f"{path}: cache.hit_rate outside [0, 1]")

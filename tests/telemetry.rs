@@ -171,10 +171,16 @@ fn snapshot_json_round_trips_counts() {
     assert!(!in_string, "unterminated string");
 
     // The counters written into the JSON match the snapshot struct.
-    assert_eq!(json_u64(&json, "version"), 1);
+    assert_eq!(json_u64(&json, "version"), 2);
     assert_eq!(json_u64(&json, "lock_count"), snapshot.lock_count as u64);
     assert_eq!(json_u64(&json, "lock_count"), 3);
     assert_eq!(json_u64(&json, "glk_transitions"), snapshot.glk_transitions);
+    assert_eq!(snapshot.table, service.table_stats());
+    assert_eq!(json_u64(&json, "elements"), 3);
+    assert_eq!(
+        json_u64(&json, "expansions"),
+        snapshot.table.expansions as u64
+    );
     assert!(json.contains("\"mode\":\"profile\""));
     assert!(json.contains("\"sampling_budget\":null"));
     assert_eq!(
